@@ -100,7 +100,7 @@ impl Behavior<BaseMsg> for TreeSyncNode {
             Correction::Jump => {
                 if estimate > own {
                     ctx.jump_track(TrackId::MAIN, estimate);
-                    ctx.emit(ROW_TREE_JUMP, vec![estimate - own]);
+                    ctx.emit(ROW_TREE_JUMP, &[estimate - own]);
                 }
             }
             Correction::Slew => {

@@ -45,11 +45,37 @@ pub struct Midpoint {
 /// assert_eq!(m.bounds, (0.0, 1.0));
 /// ```
 pub fn trimmed_midpoint(observations: &[f64], f: usize) -> Result<Midpoint, MidpointError> {
+    trimmed_midpoint_mut(&mut observations.to_vec(), f)
+}
+
+/// [`trimmed_midpoint`] that sorts `observations` in place instead of
+/// copying them, so a caller that refills one buffer every round needs
+/// no per-round copy.
+///
+/// On return `observations` is sorted ascending, whether or not the
+/// computation succeeded (unless it had fewer than `2f+1` entries, in
+/// which case it is untouched).
+///
+/// # Errors
+///
+/// As [`trimmed_midpoint`].
+///
+/// # Examples
+///
+/// ```
+/// use ftgcs::agreement::trimmed_midpoint_mut;
+///
+/// let mut scratch = vec![100.0, 1.0, -100.0, 0.0];
+/// let m = trimmed_midpoint_mut(&mut scratch, 1).unwrap();
+/// assert_eq!(m.delta, 0.5);
+/// assert_eq!(scratch, [-100.0, 0.0, 1.0, 100.0]);
+/// ```
+pub fn trimmed_midpoint_mut(observations: &mut [f64], f: usize) -> Result<Midpoint, MidpointError> {
     let n = observations.len();
     if n < 2 * f + 1 {
         return Err(MidpointError::TooFewObservations { n, f });
     }
-    let mut sorted: Vec<f64> = observations.to_vec();
+    let sorted = observations;
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("observations must not be NaN"));
     let lo = sorted[f]; // S^(f+1), 1-indexed
     let hi = sorted[n - 1 - f]; // S^(n-f)

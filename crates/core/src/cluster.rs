@@ -29,7 +29,7 @@ use ftgcs_sim::node::{NodeId, TimerTag, TrackId};
 use ftgcs_sim::shard::Partition;
 use ftgcs_topology::ClusterGraph;
 
-use crate::agreement::trimmed_midpoint;
+use crate::agreement::trimmed_midpoint_mut;
 use crate::messages::Msg;
 use crate::params::Params;
 
@@ -132,6 +132,9 @@ pub struct ClusterInstance {
     current: Vec<f64>,
     /// Early arrivals for the next round.
     pending: Vec<f64>,
+    /// Scratch for the round's offset multiset, refilled at every
+    /// compute step.
+    observations: Vec<f64>,
     /// Own pulse receive logical time (the self entry for estimators; for
     /// active instances the self-slot of `current` is used instead).
     own_virtual: f64,
@@ -188,6 +191,7 @@ impl ClusterInstance {
             phase: Phase::Listening,
             current: vec![f64::INFINITY; n],
             pending: vec![f64::INFINITY; n],
+            observations: Vec::with_capacity(n + usize::from(silent)),
             own_virtual: f64::INFINITY,
             own_virtual_pending: f64::INFINITY,
             pulse_logical: 0.0,
@@ -341,7 +345,7 @@ impl ClusterInstance {
                     ctx.send_self(Msg::VirtualPulse { instance: self.idx });
                 } else {
                     ctx.broadcast_with_loopback(Msg::Pulse);
-                    ctx.emit(ROW_PULSE, vec![self.cluster_id as f64, self.round as f64]);
+                    ctx.emit(ROW_PULSE, &[self.cluster_id as f64, self.round as f64]);
                 }
                 InstanceEvent::None
             }
@@ -385,23 +389,21 @@ impl ClusterInstance {
         };
         // Multiset S_v of offsets tau_wv = L(t_wv) - L(t_vv); missing
         // pulses become +inf and are trimmed if within the fault budget.
-        let mut observations: Vec<f64> = self
-            .current
-            .iter()
-            .map(|&l| {
-                if l.is_finite() {
-                    l - own
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect();
+        let observations = &mut self.observations;
+        observations.clear();
+        observations.extend(self.current.iter().map(|&l| {
+            if l.is_finite() {
+                l - own
+            } else {
+                f64::INFINITY
+            }
+        }));
         if self.silent {
             // The estimator participates as a (k+1)-th virtual member.
             observations.push(0.0);
         }
         let missing = observations.iter().filter(|x| !x.is_finite()).count();
-        let delta = match trimmed_midpoint(&observations, p.f) {
+        let delta = match trimmed_midpoint_mut(observations, p.f) {
             Ok(m) => m.delta,
             Err(_) => {
                 // More than f missing: improper execution. Apply no
@@ -427,7 +429,7 @@ impl ClusterInstance {
         if !self.silent {
             ctx.emit(
                 ROW_ROUND,
-                vec![
+                &[
                     self.cluster_id as f64,
                     self.round as f64,
                     clamped,

@@ -259,9 +259,9 @@ impl Behavior<Msg> for RandomPulser {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: TimerTag) {
         // Send to a random subset of neighbors, one by one (Byzantine
         // nodes are not bound to broadcast).
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
-        for to in neighbors {
+        for i in 0..ctx.neighbors().len() {
             if ctx.rng().chance(0.7) {
+                let to = ctx.neighbors()[i];
                 ctx.send(to, Msg::Pulse);
             }
         }
@@ -391,15 +391,15 @@ impl TwoFacedPulser {
             // exceeds τ₁): clamping onto t = 0 would make the "early"
             // face indistinguishable from start-of-round noise, so the
             // degenerate face is skipped and logged instead.
-            ctx.emit(ROW_FACE_SKIPPED, vec![round as f64, target, self.amplitude]);
+            ctx.emit(ROW_FACE_SKIPPED, &[round as f64, target, self.amplitude]);
         }
         ctx.set_timer_at(track, target + self.amplitude, tag(TIMER_LATE));
     }
 
     fn send_face(&self, ctx: &mut Ctx<'_, Msg>, early: bool) {
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
-        for (i, to) in neighbors.into_iter().enumerate() {
+        for i in 0..ctx.neighbors().len() {
             if (i % 2 == 0) == early {
+                let to = ctx.neighbors()[i];
                 ctx.send(to, Msg::Pulse);
             }
         }

@@ -29,6 +29,18 @@ use crate::messages::Msg;
 /// Timer kind: `M_v` reached the next level boundary.
 pub const TIMER_LEVEL: u32 = 4;
 
+/// The `(f+1)`-th largest entry of `seen` (0 if it has at most `f`
+/// entries): the highest level that at least `f+1` distinct members have
+/// reported. Selected in place, without sorting a copy; clusters are
+/// small (`k = 3f+1`), so the quadratic scan is cheap.
+fn confirmed_level(seen: &[u64], f: usize) -> u64 {
+    seen.iter()
+        .copied()
+        .filter(|&level| seen.iter().filter(|&&other| other >= level).count() > f)
+        .max()
+        .unwrap_or(0)
+}
+
 /// Level reports observed from one adjacent cluster.
 #[derive(Debug, Clone)]
 struct ClusterLevels {
@@ -130,9 +142,7 @@ impl MaxEstimator {
                 }
                 // (f+1)-th largest report: at least one correct member of
                 // this cluster has genuinely crossed this level.
-                let mut sorted = cl.seen.clone();
-                sorted.sort_unstable_by(|a, b| b.cmp(a));
-                let confirmed = sorted.get(self.f).copied().unwrap_or(0);
+                let confirmed = confirmed_level(&cl.seen, self.f);
                 if confirmed > 0 {
                     let bump = confirmed as f64 * self.unit + self.min_delay;
                     candidate = Some(candidate.map_or(bump, |c: f64| c.max(bump)));
@@ -195,6 +205,37 @@ mod tests {
     #[should_panic(expected = "at least d-U")]
     fn rejects_sub_delay_unit() {
         let _ = MaxEstimator::new(TrackId(1), 0.5e-3, 1e-3, 1, vec![]);
+    }
+
+    /// Reference: the `(f+1)`-th largest entry of a sorted copy.
+    fn confirmed_level_by_sorting(seen: &[u64], f: usize) -> u64 {
+        let mut sorted = seen.to_vec();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        sorted.get(f).copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn confirmed_level_matches_sorting_exhaustively() {
+        // Every `seen` vector of length 0..=3f+2 over levels 0..=3, for
+        // f = 1 and 2: ties, zeros and too-short vectors included.
+        const LEVELS: u64 = 4;
+        for f in [1usize, 2] {
+            for len in 0..=3 * f + 2 {
+                let mut seen = vec![0u64; len];
+                for code in 0..LEVELS.pow(len as u32) {
+                    let mut c = code;
+                    for slot in &mut seen {
+                        *slot = c % LEVELS;
+                        c /= LEVELS;
+                    }
+                    assert_eq!(
+                        confirmed_level(&seen, f),
+                        confirmed_level_by_sorting(&seen, f),
+                        "seen = {seen:?}, f = {f}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! parameter-derivation monotonicity, clock-track algebra, and graph
 //! augmentation arithmetic.
 
-use ftgcs::agreement::trimmed_midpoint;
+use ftgcs::agreement::{trimmed_midpoint, trimmed_midpoint_mut};
 use ftgcs::params::Params;
 use ftgcs::triggers::{conditions, evaluate};
 use ftgcs_sim::clock::{HardwareClock, RateModel};
@@ -34,6 +34,8 @@ proptest! {
         let m = trimmed_midpoint(&all, f).unwrap();
         prop_assert!(m.delta >= lo - 1e-12 && m.delta <= hi + 1e-12,
             "delta {} outside correct range [{lo}, {hi}]", m.delta);
+        // The in-place variant computes exactly the same midpoint.
+        prop_assert_eq!(trimmed_midpoint_mut(&mut all, f), Ok(m));
     }
 
     /// Agreement-ish contraction: two nodes observing the same correct

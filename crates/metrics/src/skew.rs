@@ -377,12 +377,12 @@ mod tests {
             (2, 2.01, 2),
         ];
         for (node, t, round) in pulses {
-            trace.rows.push(Row {
-                t: SimTime::from_secs(t),
-                node: NodeId(node),
-                kind: "pulse",
-                values: vec![0.0, round as f64],
-            });
+            trace.rows.push(Row::new(
+                SimTime::from_secs(t),
+                NodeId(node),
+                "pulse",
+                &[0.0, round as f64],
+            ));
         }
         let faulty = FaultMask::from_nodes(4, &[3]);
         let d = pulse_diameters(&trace, &cg, &faulty, "pulse");

@@ -530,12 +530,7 @@ mod tests {
     fn row_counter_counts_by_kind() {
         let mut c = RowCounter::new();
         for kind in ["pulse", "round", "pulse"] {
-            c.on_row(&Row {
-                t: SimTime::ZERO,
-                node: NodeId(0),
-                kind,
-                values: vec![],
-            });
+            c.on_row(&Row::new(SimTime::ZERO, NodeId(0), kind, &[]));
         }
         assert_eq!(c.count("pulse"), 2);
         assert_eq!(c.count("round"), 1);

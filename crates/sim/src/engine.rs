@@ -785,14 +785,14 @@ impl<M: Clone> Ctx<'_, M> {
         &mut self.state.rng
     }
 
-    /// Emits an untyped trace row.
-    pub fn emit(&mut self, kind: &'static str, values: Vec<f64>) {
-        let row = Row {
-            t: self.now,
-            node: self.node,
-            kind,
-            values,
-        };
+    /// Emits an untyped trace row carrying a copy of `values`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `kind`, if `values` holds more than
+    /// [`crate::trace::ROW_CAPACITY`] entries.
+    pub fn emit(&mut self, kind: &'static str, values: &[f64]) {
+        let row = Row::new(self.now, self.node, kind, values);
         match &mut self.rows {
             RowSink::Direct(rows) => rows.push(row),
             RowSink::Buffered(rows) => rows.push((self.key, row)),
@@ -1491,7 +1491,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: TimerTag) {
             self.ticks += 1;
             assert!(self.ticks < 3, "boom");
-            ctx.emit("tick", vec![f64::from(self.ticks)]);
+            ctx.emit("tick", &[f64::from(self.ticks)]);
             let next = ctx.track_value(TrackId::MAIN) + 0.1;
             ctx.set_timer_at(TrackId::MAIN, next, TimerTag::new(0));
         }
@@ -1830,7 +1830,7 @@ mod tests {
         fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: &()) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, tag: TimerTag) {
             assert_eq!(tag.kind, 7);
-            ctx.emit("extra_fired", vec![ctx.newtonian_now().as_secs()]);
+            ctx.emit("extra_fired", &[ctx.newtonian_now().as_secs()]);
         }
     }
 

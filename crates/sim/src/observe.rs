@@ -167,12 +167,12 @@ impl Observer for Trace {
 /// let mut b = Trace::new();
 /// {
 ///     let mut fan = Fanout::new(vec![&mut a, &mut b]);
-///     fan.on_row(&ftgcs_sim::trace::Row {
-///         t: ftgcs_sim::time::SimTime::ZERO,
-///         node: ftgcs_sim::node::NodeId(0),
-///         kind: "pulse",
-///         values: vec![],
-///     });
+///     fan.on_row(&ftgcs_sim::trace::Row::new(
+///         ftgcs_sim::time::SimTime::ZERO,
+///         ftgcs_sim::node::NodeId(0),
+///         "pulse",
+///         &[],
+///     ));
 /// }
 /// assert_eq!(a.rows.len(), 1);
 /// assert_eq!(b.rows.len(), 1);
@@ -229,12 +229,7 @@ mod tests {
             logical: vec![1.0, 2.0],
             hardware: vec![1.0, 2.0],
         };
-        let row = Row {
-            t: SimTime::from_secs(0.5),
-            node: NodeId(1),
-            kind: "pulse",
-            values: vec![3.0],
-        };
+        let row = Row::new(SimTime::from_secs(0.5), NodeId(1), "pulse", &[3.0]);
         t.on_sample(&sample);
         t.on_row(&row);
         t.on_finish(&SimStats::default());

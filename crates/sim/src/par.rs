@@ -753,6 +753,7 @@ impl<M: Clone + Send + 'static> Simulation<M> {
             shard_cost: &mut pq.shard_cost,
             planned_events: &mut pq.planned_events,
             pending_rows: Vec::new(),
+            row_seq: 0,
             m: vec![time_inf(); nshards],
             e: Vec::with_capacity(nshards),
             dijkstra: BinaryHeap::new(),
@@ -888,8 +889,11 @@ struct Windows<'a> {
     /// Rows merged from finished windows but not yet emitted: with
     /// per-shard horizons, a row's time may exceed a *different*
     /// shard's pending front, so rows wait until the global front
-    /// passes them.
-    pending_rows: Vec<(Key, Row)>,
+    /// passes them. Each row carries its merge sequence number (from
+    /// `row_seq`).
+    pending_rows: Vec<(Key, u64, Row)>,
+    /// Rows merged so far this run.
+    row_seq: u64,
     /// Per-shard front `m_s` of the current barrier.
     m: Vec<SimTime>,
     /// Earliest-influence fixpoint `e_s` of the current barrier.
@@ -932,7 +936,10 @@ impl Windows<'_> {
             if ran_window {
                 for (s, task) in pool.tasks.iter().enumerate() {
                     let mut task = task.lock().expect("task poisoned");
-                    self.pending_rows.append(&mut task.rows);
+                    for (key, row) in task.rows.drain(..) {
+                        self.pending_rows.push((key, self.row_seq, row));
+                        self.row_seq += 1;
+                    }
                     let events = task.stats.events;
                     let delta = events - self.prev_events[s];
                     self.prev_events[s] = events;
@@ -1029,13 +1036,16 @@ impl Windows<'_> {
         if self.pending_rows.is_empty() {
             return;
         }
-        // Stable sort: a single event's rows share its key and must
-        // keep their emission order.
-        self.pending_rows.sort_by_key(|&(key, _)| key);
+        // A single event's rows share its key and must keep their
+        // emission order: the merge sequence number breaks the tie, so
+        // the unstable sort (which, unlike the stable one, never
+        // allocates scratch) orders exactly as a stable sort by key.
+        self.pending_rows
+            .sort_unstable_by_key(|&(key, seq, _)| (key, seq));
         let cut = self
             .pending_rows
-            .partition_point(|&(key, _)| key.time < watermark);
-        for (_, row) in self.pending_rows.drain(..cut) {
+            .partition_point(|&(key, _, _)| key.time < watermark);
+        for (_, _, row) in self.pending_rows.drain(..cut) {
             self.obs.on_row_owned(row);
         }
     }
@@ -1360,7 +1370,7 @@ mod tests {
             ctx.set_timer_at(TrackId::MAIN, next, TimerTag::new(0));
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: &u32) {
-            ctx.emit("beat", vec![from.index() as f64, f64::from(*msg % 64)]);
+            ctx.emit("beat", &[from.index() as f64, f64::from(*msg % 64)]);
         }
     }
 
@@ -1495,7 +1505,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _tag: TimerTag) {
             if !self.fired {
                 self.fired = true;
-                ctx.emit("early", vec![1.0]);
+                ctx.emit("early", &[1.0]);
                 // ulp(0.01) ≈ 1.7e-18 > the lookahead: vanishes here.
                 ctx.set_timer_at(TrackId::MAIN, 0.01, TimerTag::new(0));
             }

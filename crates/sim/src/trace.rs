@@ -24,6 +24,73 @@ pub struct ClockSample {
     pub hardware: Vec<f64>,
 }
 
+/// The most values one [`Row`] can carry.
+pub const ROW_CAPACITY: usize = 8;
+
+/// A row's numeric payload: at most [`ROW_CAPACITY`] values, stored
+/// inline so that emitting a row never touches the heap.
+///
+/// It derefs to `[f64]`, and its `Debug` output is that of the
+/// equivalent `Vec<f64>`, so [`Trace::to_bytes`] does not depend on the
+/// payload's representation.
+///
+/// # Examples
+///
+/// ```
+/// use ftgcs_sim::node::NodeId;
+/// use ftgcs_sim::time::SimTime;
+/// use ftgcs_sim::trace::Row;
+///
+/// let row = Row::new(SimTime::ZERO, NodeId(0), "pulse", &[1.0, 2.5]);
+/// assert_eq!(&row.values[..], &[1.0, 2.5]);
+/// assert_eq!(format!("{:?}", row.values), "[1.0, 2.5]");
+/// ```
+#[derive(Clone)]
+pub struct RowValues {
+    len: u8,
+    buf: [f64; ROW_CAPACITY],
+}
+
+impl RowValues {
+    /// Copies `values` inline; `None` if there are more than
+    /// [`ROW_CAPACITY`].
+    fn from_slice(values: &[f64]) -> Option<Self> {
+        let mut buf = [0.0; ROW_CAPACITY];
+        buf.get_mut(..values.len())?.copy_from_slice(values);
+        Some(RowValues {
+            len: values.len() as u8,
+            buf,
+        })
+    }
+}
+
+impl std::ops::Deref for RowValues {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a RowValues {
+    type Item = &'a f64;
+    type IntoIter = std::slice::Iter<'a, f64>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for RowValues {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for RowValues {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One behavior-emitted record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
@@ -35,7 +102,32 @@ pub struct Row {
     /// emitting algorithm crate.
     pub kind: &'static str,
     /// Numeric payload; meaning is kind-specific.
-    pub values: Vec<f64>,
+    pub values: RowValues,
+}
+
+impl Row {
+    /// Creates a row carrying a copy of `values`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `kind`, if `values` holds more than
+    /// [`ROW_CAPACITY`] entries. Rows are emitted by code, so a too-wide
+    /// row is a programming error, never an input error.
+    #[must_use]
+    pub fn new(t: SimTime, node: NodeId, kind: &'static str, values: &[f64]) -> Self {
+        let Some(values) = RowValues::from_slice(values) else {
+            panic!(
+                "row kind `{kind}` emitted {} values; a row holds at most {ROW_CAPACITY}",
+                values.len()
+            );
+        };
+        Row {
+            t,
+            node,
+            kind,
+            values,
+        }
+    }
 }
 
 /// Collected output of a simulation run.
@@ -159,18 +251,8 @@ mod tests {
                 },
             ],
             rows: vec![
-                Row {
-                    t: SimTime::from_secs(0.5),
-                    node: NodeId(0),
-                    kind: "pulse",
-                    values: vec![1.0],
-                },
-                Row {
-                    t: SimTime::from_secs(0.6),
-                    node: NodeId(1),
-                    kind: "round",
-                    values: vec![2.0, 3.0],
-                },
+                Row::new(SimTime::from_secs(0.5), NodeId(0), "pulse", &[1.0]),
+                Row::new(SimTime::from_secs(0.6), NodeId(1), "round", &[2.0, 3.0]),
             ],
         }
     }
@@ -202,5 +284,24 @@ mod tests {
         assert_eq!(lines[0], "t,n0,n1");
         assert_eq!(lines.len(), 3);
         assert!(lines[2].starts_with('1'));
+    }
+
+    #[test]
+    fn row_payload_matches_vec_semantics() {
+        let payload = [1.0, -0.0, 2.5, f64::INFINITY, 3.0, 4.0, 5.0, 6.0];
+        for len in 0..=ROW_CAPACITY {
+            let row = Row::new(SimTime::ZERO, NodeId(0), "k", &payload[..len]);
+            let vec = payload[..len].to_vec();
+            assert_eq!(format!("{:?}", row.values), format!("{vec:?}"));
+            assert_eq!(format!("{:#?}", row.values), format!("{vec:#?}"));
+            assert_eq!(&row.values[..], &vec[..]);
+            assert_eq!((&row.values).into_iter().count(), len);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row kind `wide` emitted 9 values")]
+    fn too_wide_row_names_its_kind() {
+        let _ = Row::new(SimTime::ZERO, NodeId(0), "wide", &[0.0; ROW_CAPACITY + 1]);
     }
 }

@@ -30,7 +30,7 @@ impl Behavior<u64> for Gossip {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: &u64) {
-        ctx.emit("gossip", vec![from.index() as f64, (*msg % 4096) as f64]);
+        ctx.emit("gossip", &[from.index() as f64, (*msg % 4096) as f64]);
     }
 }
 
